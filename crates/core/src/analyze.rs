@@ -10,6 +10,7 @@ use crate::{inter, Result};
 use statim_netlist::{GateId, Placement};
 use statim_process::delay::CornerSpec;
 use statim_process::param::Variations;
+use statim_process::tech::AlphaBeta;
 use statim_process::Technology;
 use statim_stats::convolve::{sum_pdf_resampled_with, ConvolveBackend};
 use statim_stats::{Marginal, Pdf};
@@ -192,20 +193,7 @@ pub fn analyze_path_cached(
 
     // Inter: numerical non-linear PDF.
     let ab = timing.path_alpha_beta(path);
-    let compute_inter = || {
-        inter::inter_pdf(
-            &ab,
-            tech,
-            &settings.vars,
-            &settings.layers,
-            settings.marginal,
-            settings.quality_inter,
-        )
-    };
-    let inter = match cache {
-        Some(c) => c.inter_pdf(&ab, compute_inter)?,
-        None => compute_inter()?,
-    };
+    let inter = inter_pdf_cached(&ab, tech, settings, cache)?;
 
     // Total: convolution (paper: O(QUALITY²); O(Q log Q) on Fft).
     let total = sum_pdf_resampled_with(
@@ -230,6 +218,35 @@ pub fn analyze_path_cached(
         intra_pdf: intra,
         inter_pdf: inter,
     })
+}
+
+/// The inter-die PDF for coefficient sums `ab` under `settings`. With a
+/// cache, a miss evaluates the store's once-per-settings
+/// [`InterKernel`](inter::InterKernel) and a hit touches nothing else;
+/// without one, the kernel is built for this call. Same bits either way.
+///
+/// # Errors
+///
+/// Propagates numerical and configuration failures.
+pub(crate) fn inter_pdf_cached(
+    ab: &AlphaBeta,
+    tech: &Technology,
+    settings: &AnalysisSettings,
+    cache: Option<&AnalysisCache>,
+) -> Result<Pdf> {
+    let build = || {
+        inter::InterKernel::new(
+            tech,
+            &settings.vars,
+            &settings.layers,
+            settings.marginal,
+            settings.quality_inter,
+        )
+    };
+    match cache {
+        Some(c) => c.inter_pdf(ab, || c.inter_kernel(build)?.pdf(ab)),
+        None => build()?.pdf(ab),
+    }
 }
 
 impl PathAnalysis {

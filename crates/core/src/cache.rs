@@ -13,7 +13,11 @@
 //!   `(A, B)` plus the settings fingerprint;
 //! * **closed-form intra PDFs**, keyed by the eq. (14) variance bits;
 //! * **the corner worst-case operating point**, computed once per
-//!   settings fingerprint instead of once per path.
+//!   settings fingerprint instead of once per path;
+//! * **the tabulated inter-die kernel** ([`InterKernel`]: voltage tables,
+//!   marginals, geometry PDF), built on the first inter-die miss under
+//!   its inputs and shared by every later miss. A store keeps the
+//!   [`INTER_KERNEL_SLOTS`] most recently used kernels.
 //!
 //! # Store vs. view
 //!
@@ -66,6 +70,7 @@
 
 use crate::analyze::AnalysisSettings;
 use crate::correlation::VarianceSplit;
+use crate::inter::InterKernel;
 use crate::Result;
 use statim_process::tech::{AlphaBeta, OperatingPoint};
 use statim_process::{Param, Technology};
@@ -79,6 +84,13 @@ use std::sync::{Arc, Mutex};
 /// index is a mask; 16 stripes keep contention negligible for any pool
 /// size `run_pool` will realistically spawn.
 const SHARD_COUNT: usize = 16;
+
+/// Tabulated inter-die kernels a store retains, least recently used
+/// evicted first. A kernel holds two `Q²` tables (0.7 MB at `Q = 200`),
+/// and a resident daemon sees whatever settings its clients submit, so
+/// the count is fixed rather than left to grow. A job only ever needs
+/// one; the spare slots let a few alternating configurations stay warm.
+pub const INTER_KERNEL_SLOTS: usize = 4;
 
 /// 64-bit FNV-1a over a byte stream — a small, deterministic hash used
 /// for the settings fingerprint and shard selection (the std `HashMap`
@@ -113,6 +125,31 @@ pub(crate) fn fold_u64(seed: u64, v: u64) -> u64 {
 /// runs with equal fingerprints compute identical kernels for identical
 /// keys.
 pub fn settings_fingerprint(tech: &Technology, settings: &AnalysisSettings) -> u64 {
+    let mut h = model_fingerprint(tech, settings);
+    // The backend tag keeps grid- and FFT-computed kernels apart in a
+    // shared store: the densities differ at round-off level, and a
+    // cache hit must return exactly what the active backend would
+    // compute.
+    h = fold_u64(h, settings.backend.tag());
+    h = fold_u64(h, settings.quality_intra as u64);
+    h = fold_u64(h, settings.quality_inter as u64);
+    h = fold_f64(h, settings.corner.k);
+    h
+}
+
+/// Fingerprint of exactly what [`InterKernel::new`] reads: the model
+/// plus the inter-die quality. Settings that differ only in backend,
+/// intra quality or corner share one tabulated kernel.
+fn inter_kernel_fingerprint(tech: &Technology, settings: &AnalysisSettings) -> u64 {
+    fold_u64(
+        model_fingerprint(tech, settings),
+        settings.quality_inter as u64,
+    )
+}
+
+/// The model part of the fingerprints: technology nominals and `εox`,
+/// variation σs and truncation, layer-weight split and marginal shape.
+fn model_fingerprint(tech: &Technology, settings: &AnalysisSettings) -> u64 {
     let mut h = 0u64;
     // Technology: the inter kernel reads the nominal point and ε_ox.
     for p in Param::ALL {
@@ -140,24 +177,15 @@ pub fn settings_fingerprint(tech: &Technology, settings: &AnalysisSettings) -> u
             }
         }
     }
-    // Marginal shape, convolution backend, discretizations, corner.
-    // The backend tag keeps grid- and FFT-computed kernels apart in a
-    // shared store: the densities differ at round-off level, and a
-    // cache hit must return exactly what the active backend would
-    // compute.
-    h = fold_u64(
+    // Marginal shape.
+    fold_u64(
         h,
         match settings.marginal {
             Marginal::Gaussian => 0,
             Marginal::Uniform => 1,
             Marginal::Triangular => 2,
         },
-    );
-    h = fold_u64(h, settings.backend.tag());
-    h = fold_u64(h, settings.quality_intra as u64);
-    h = fold_u64(h, settings.quality_inter as u64);
-    h = fold_f64(h, settings.corner.k);
-    h
+    )
 }
 
 /// Inter-die kernel key: the exact bits of the path's summed α/β
@@ -408,6 +436,11 @@ pub struct KernelStore {
     corner: Mutex<HashMap<u64, OperatingPoint>>,
     corner_hits: AtomicU64,
     corner_misses: AtomicU64,
+    /// Tabulated inter-die kernels keyed by their inputs' fingerprint,
+    /// most recently used last, at most [`INTER_KERNEL_SLOTS`]. Not
+    /// counted in [`CacheStats`]: they are fetched only inside an inter
+    /// miss, so the lookup counters stay those of the PDF maps.
+    inter_kernels: Mutex<Vec<(u64, Arc<InterKernel>)>>,
     /// Total capacity per kernel map, as configured (`None` =
     /// unbounded).
     capacity: Option<usize>,
@@ -453,6 +486,7 @@ impl KernelStore {
             corner: Mutex::new(HashMap::new()),
             corner_hits: AtomicU64::new(0),
             corner_misses: AtomicU64::new(0),
+            inter_kernels: Mutex::new(Vec::new()),
             capacity,
             #[cfg(any(test, feature = "fault-injection"))]
             poisoned_inter: std::sync::atomic::AtomicUsize::new(usize::MAX),
@@ -499,6 +533,8 @@ impl KernelStore {
 /// [`SstaEngine::run`]: crate::engine::SstaEngine::run
 pub struct AnalysisCache {
     fingerprint: u64,
+    /// Key of this view's tabulated inter-die kernel.
+    kernel_fingerprint: u64,
     store: Arc<KernelStore>,
 }
 
@@ -528,6 +564,7 @@ impl AnalysisCache {
     ) -> Self {
         AnalysisCache {
             fingerprint: settings_fingerprint(tech, settings),
+            kernel_fingerprint: inter_kernel_fingerprint(tech, settings),
             store,
         }
     }
@@ -627,6 +664,50 @@ impl AnalysisCache {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .entry(self.fingerprint)
             .or_insert(pt)
+    }
+
+    /// The tabulated inter-die kernel for this view's settings, built by
+    /// `build` unless the store still holds it (see
+    /// [`INTER_KERNEL_SLOTS`]). Call it inside an
+    /// [`AnalysisCache::inter_pdf`] miss so a hit does no extra work.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `build`'s error (nothing is stored in that case).
+    pub fn inter_kernel(
+        &self,
+        build: impl FnOnce() -> Result<InterKernel>,
+    ) -> Result<Arc<InterKernel>> {
+        let key = self.kernel_fingerprint;
+        let lock = || {
+            self.store
+                .inter_kernels
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        };
+        // Moves a resident kernel to the most-recent end and returns it.
+        let touch = |slots: &mut Vec<(u64, Arc<InterKernel>)>| {
+            let i = slots.iter().position(|(k, _)| *k == key)?;
+            let slot = slots.remove(i);
+            let kernel = Arc::clone(&slot.1);
+            slots.push(slot);
+            Some(kernel)
+        };
+        if let Some(kernel) = touch(&mut lock()) {
+            return Ok(kernel);
+        }
+        // Build outside the lock; a racing duplicate is benign (both
+        // kernels are identical, the first insert wins).
+        let kernel = Arc::new(build()?);
+        let mut slots = lock();
+        if let Some(resident) = touch(&mut slots) {
+            return Ok(resident);
+        }
+        if slots.len() == INTER_KERNEL_SLOTS {
+            slots.remove(0);
+        }
+        slots.push((key, Arc::clone(&kernel)));
+        Ok(kernel)
     }
 
     /// A snapshot of the underlying store's counters.
@@ -758,6 +839,79 @@ mod tests {
         let stats = c.stats();
         assert_eq!(stats.corner_misses, 1);
         assert_eq!(stats.corner_hits, 4);
+    }
+
+    #[test]
+    fn inter_kernel_built_once_per_fingerprint_and_uncounted() {
+        let tech = Technology::cmos130();
+        let s = settings();
+        let build = |s: &AnalysisSettings| {
+            inter::InterKernel::new(&tech, &s.vars, &s.layers, s.marginal, s.quality_inter)
+        };
+        let store = Arc::new(KernelStore::unbounded());
+        let c1 = AnalysisCache::with_store(Arc::clone(&store), &tech, &s);
+        let k1 = c1.inter_kernel(|| build(&s)).unwrap();
+        let again = c1.inter_kernel(|| panic!("built twice")).unwrap();
+        assert!(Arc::ptr_eq(&k1, &again));
+        // Other settings on the same store get their own kernel.
+        let mut s2 = settings();
+        s2.quality_inter = 24;
+        let c2 = AnalysisCache::with_store(Arc::clone(&store), &tech, &s2);
+        let k2 = c2.inter_kernel(|| build(&s2)).unwrap();
+        assert!(!Arc::ptr_eq(&k1, &k2));
+        // Settings the kernel does not read share it.
+        let mut s3 = settings();
+        s3.quality_intra = 24;
+        s3.corner.k = 2.5;
+        let c3 = AnalysisCache::with_store(Arc::clone(&store), &tech, &s3);
+        assert_ne!(c3.fingerprint(), c1.fingerprint());
+        let k3 = c3
+            .inter_kernel(|| panic!("same inputs, new kernel"))
+            .unwrap();
+        assert!(Arc::ptr_eq(&k1, &k3));
+        // Kernel fetches are not PDF lookups.
+        assert_eq!(store.stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn inter_kernels_stay_within_their_slots() {
+        // A resident store fed many distinct settings keeps at most
+        // INTER_KERNEL_SLOTS kernels, evicting the least recently used.
+        let tech = Technology::cmos130();
+        let store = Arc::new(KernelStore::unbounded());
+        let view = |q: usize| {
+            let mut s = settings();
+            s.quality_inter = q;
+            let c = AnalysisCache::with_store(Arc::clone(&store), &tech, &s);
+            (c, s)
+        };
+        let fetch = |q: usize| {
+            let (c, s) = view(q);
+            c.inter_kernel(|| {
+                inter::InterKernel::new(&tech, &s.vars, &s.layers, s.marginal, s.quality_inter)
+            })
+            .unwrap()
+        };
+        let first = fetch(4);
+        for q in 5..40 {
+            fetch(q);
+            // Keep q = 4 the most recently used; it must survive.
+            assert!(Arc::ptr_eq(&first, &fetch(4)));
+            assert!(store.inter_kernels.lock().unwrap().len() <= INTER_KERNEL_SLOTS);
+        }
+        assert_eq!(
+            store.inter_kernels.lock().unwrap().len(),
+            INTER_KERNEL_SLOTS
+        );
+        // q = 5 went long ago: fetching it builds again.
+        let (c, s) = view(5);
+        let mut rebuilt = false;
+        c.inter_kernel(|| {
+            rebuilt = true;
+            inter::InterKernel::new(&tech, &s.vars, &s.layers, s.marginal, s.quality_inter)
+        })
+        .unwrap();
+        assert!(rebuilt);
     }
 
     #[test]

@@ -42,12 +42,12 @@
 
 #![warn(clippy::unwrap_used)]
 
+use crate::analyze::inter_pdf_cached;
 use crate::cache::{AnalysisCache, KernelStore};
 use crate::characterize::characterize_placed;
 use crate::engine::{RunContext, SstaConfig};
 use crate::error::ErrorClass;
 use crate::graph::TimingGraph;
-use crate::inter;
 use crate::intra::{intra_pdf, intra_variance, path_coefficients};
 use crate::supervise::{supervised_map, BudgetKind, ItemOutcome, Supervisor};
 use crate::{CoreError, Result};
@@ -930,20 +930,7 @@ fn analyze_check(
         Some(c) => c.intra_pdf(var_eff, compute_intra)?,
         None => compute_intra()?,
     };
-    let compute_inter = || {
-        inter::inter_pdf(
-            &ab_eff,
-            tech,
-            &settings.vars,
-            &settings.layers,
-            settings.marginal,
-            settings.quality_inter,
-        )
-    };
-    let inter = match cache {
-        Some(c) => c.inter_pdf(&ab_eff, compute_inter)?,
-        None => compute_inter()?,
-    };
+    let inter = inter_pdf_cached(&ab_eff, tech, settings, cache)?;
     let x_pdf = sum_pdf_resampled_with(
         settings.backend,
         &intra,

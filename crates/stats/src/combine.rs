@@ -17,8 +17,15 @@ use crate::pdf::Pdf;
 use crate::{Result, StatsError};
 
 /// Builds the output grid for mapped values in `[lo, hi]` with `quality`
-/// cells, padding degenerate ranges so the grid is valid.
-fn output_grid(lo: f64, hi: f64, quality: usize) -> Result<Grid> {
+/// cells, padding degenerate ranges so the grid is valid. Kernels that
+/// histogram their own values (the tabulated inter-die kernel) share it
+/// so their grids match these maps' bit for bit.
+///
+/// # Errors
+///
+/// Returns [`StatsError::NonFinite`] for a non-finite bound and a grid
+/// error for `quality == 0`.
+pub fn output_grid(lo: f64, hi: f64, quality: usize) -> Result<Grid> {
     if !lo.is_finite() || !hi.is_finite() {
         return Err(StatsError::NonFinite {
             what: "mapped values",
